@@ -42,20 +42,35 @@ inline void require(bool ok, const char* what) {
   if (!ok) throw SnapshotError(what);
 }
 
+/// Little-endian loads, spelled out byte by byte so that compilers merge
+/// them into one load on little-endian hosts (a loop over the bytes is not
+/// merged at -O2).
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(load_le32(p)) |
+         static_cast<std::uint64_t>(load_le32(p + 4)) << 32;
+}
+
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    const std::uint8_t b[4] = {
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+    raw(b);
   }
 
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    u32(static_cast<std::uint32_t>(v));
+    u32(static_cast<std::uint32_t>(v >> 32));
   }
 
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -69,6 +84,15 @@ class Writer {
     u64(s.size());
     for (const char c : s) buf_.push_back(static_cast<std::uint8_t>(c));
   }
+
+  /// Appends a block of bytes verbatim (Reader::raw reads it back).
+  void raw(std::span<const std::uint8_t> block) {
+    buf_.insert(buf_.end(), block.begin(), block.end());
+  }
+
+  /// Pre-sizes the buffer for a stream of known length, so appending a
+  /// multi-megabyte block never reallocates and copies it twice.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   /// 4-character section marker; Reader::expect_tag() checks it, turning a
   /// misaligned stream into a named error at the section boundary instead
@@ -97,19 +121,15 @@ class Reader {
 
   std::uint32_t u32() {
     need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-    }
+    const std::uint32_t v = load_le32(bytes_.data() + pos_);
+    pos_ += 4;
     return v;
   }
 
   std::uint64_t u64() {
     need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-    }
+    const std::uint64_t v = load_le64(bytes_.data() + pos_);
+    pos_ += 8;
     return v;
   }
 
@@ -145,6 +165,16 @@ class Reader {
     pos_ += 4;
   }
 
+  /// Views the next `n` bytes in place (bounds-checked like every field);
+  /// the span aliases the Reader's underlying buffer.
+  std::span<const std::uint8_t> raw(std::uint64_t n) {
+    need(n, "raw block");
+    const std::span<const std::uint8_t> block =
+        bytes_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n);
+    return block;
+  }
+
   /// Discards `n` bytes (an optional section this build does not consume).
   void skip(std::uint64_t n) {
     need(n, "skipped section");
@@ -153,6 +183,7 @@ class Reader {
 
   bool at_end() const { return pos_ == bytes_.size(); }
   std::size_t position() const { return pos_; }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   void need(std::uint64_t n, const char* what) {
@@ -167,5 +198,11 @@ class Reader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
+
+/// Reads a whole binary file with one sized read. Throws SnapshotError,
+/// naming `what` ("snapshot", "spool"), when the file cannot be opened or
+/// the bytes read differ from its size (a short read, or a file that
+/// changed underneath the reader).
+std::vector<std::uint8_t> read_file(const std::string& path, const char* what);
 
 }  // namespace bwpart::snap

@@ -352,6 +352,8 @@ ChurnEngine::ChurnEngine(CmpSystem& sys, const ChurnSchedule& schedule,
   BWPART_ASSERT(params_.size() == sys_.num_apps(),
                 "params arity differs from the app superset");
   schedule_.validate(sys_.num_apps());
+  // Every re-profiling window differentiates the interference counters.
+  sys_.set_interference_accounting(true);
 }
 
 Cycle ChurnEngine::rel_now() const { return sys_.now() - measure_start_; }

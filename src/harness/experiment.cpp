@@ -126,12 +126,17 @@ RunResult Experiment::measure_phase(
             ? mem::AdmissionMode::Shared
             : mem::AdmissionMode::PerApp);
   }
+  // Only the rolling re-profiler reads the interference counters during
+  // the measure phase; everywhere else attribution is pure overhead.
+  const bool reprofile =
+      phases_.reprofile_period > 0 && shares_override.empty();
+  sys.set_interference_accounting(reprofile);
   sys.reset_measurement();
   {
     obs::ScopedSpan span =
         phase_span(sys, "measure:" + core::to_string(scheme));
     PhaseTimer timer(hub_, "harness.wall_ns.measure");
-    if (phases_.reprofile_period > 0 && shares_override.empty()) {
+    if (reprofile) {
       profile::RollingProfiler rolling(
           static_cast<std::uint32_t>(n), phases_.reprofile_period);
       rolling.set_observability(sys.observability());

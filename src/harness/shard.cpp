@@ -91,15 +91,6 @@ void write_file_atomically(const fs::path& final_path,
   fs::rename(tmp, final_path);
 }
 
-std::vector<std::uint8_t> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  snap::require(in.good(), "cannot open spool file for reading");
-  std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  snap::require(!in.bad(), "read from spool file failed");
-  return raw;
-}
-
 /// Refreshes a file's mtime; ignores failure (the file may have been
 /// renamed away by a concurrent steal — benign, see the claim protocol).
 void touch(const fs::path& path) {
@@ -503,7 +494,8 @@ std::optional<ClaimedUnit> Spool::claim() const {
     // rename(2) preserves mtime, so a freshly claimed unit stolen from a
     // stale lease would instantly look stale again without this touch.
     touch(claim_path(key));
-    const std::vector<std::uint8_t> spec = read_file(claim_path(key));
+    const std::vector<std::uint8_t> spec =
+        snap::read_file(claim_path(key).string(), "spool");
     ClaimedUnit c;
     c.unit = parse_unit_spec(
         std::string(reinterpret_cast<const char*>(spec.data()), spec.size()));
@@ -555,7 +547,8 @@ bool Spool::has_result(const std::string& key) const {
 }
 
 UnitResult Spool::read_result(const std::string& key) const {
-  return decode_result_shard(read_file(result_path(key)));
+  return decode_result_shard(
+      snap::read_file(result_path(key).string(), "spool"));
 }
 
 std::vector<std::string> Spool::todo_keys() const {

@@ -1,8 +1,9 @@
 #include "harness/snapshot.hpp"
 
 #include <fstream>
-#include <iterator>
 #include <string>
+
+#include "common/assert.hpp"
 
 #include "harness/differential.hpp"
 #include "harness/experiment.hpp"
@@ -30,7 +31,13 @@ constexpr char kMagic[4] = {'B', 'W', 'P', 'S'};
 // phase-changeable generator knobs in each trace blob (a churn schedule
 // mutates them mid-run), so v4 payloads no longer decode; same loud
 // rejection.
-constexpr std::uint32_t kFormatVersion = 5;
+// v6: the trailing checksum became snapshot_checksum (FNV-1a over 8-byte
+// little-endian words), so a v5 file's byte-wise checksum no longer
+// verifies; rejected by version before the checksum is consulted.
+constexpr std::uint32_t kFormatVersion = 6;
+
+/// Fixed header: magic, version, config fingerprint, payload length.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
 std::uint64_t hash_u64(std::uint64_t v, std::uint64_t h) {
   return hash_bytes(&v, sizeof(v), h);
@@ -139,12 +146,33 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
   return h;
 }
 
+std::uint64_t snapshot_checksum(std::span<const std::uint8_t> bytes) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const std::size_t words = bytes.size() / 8;
+  const std::uint8_t* p = bytes.data();
+  for (std::size_t i = 0; i < words; ++i, p += 8) {
+    h = (h ^ snap::load_le64(p)) * kPrime;
+    // Fold the high half down: a product only carries upward, so without
+    // this the same top-bit flip in any two words would cancel. Every step
+    // stays a bijection of h, so a change within one word always shows.
+    h ^= h >> 32;
+  }
+  for (std::size_t i = words * 8; i < bytes.size(); ++i) {
+    h = (h ^ bytes[i]) * kPrime;
+  }
+  return h;
+}
+
 namespace {
 
-/// Serializes the payload (everything the checksum and length prefix cover
-/// beyond the fixed header): params, profiled B, system state blob.
-std::vector<std::uint8_t> encode_payload(const ProfileSnapshot& s) {
-  snap::Writer w;
+std::size_t payload_bytes(const ProfileSnapshot& s) {
+  return 8 + 16 * s.params.size() + 8 + 8 + s.state.size();
+}
+
+/// Appends the payload (everything the length prefix covers): params,
+/// profiled B, system state blob.
+void encode_payload(snap::Writer& w, const ProfileSnapshot& s) {
   w.sz(s.params.size());
   for (const core::AppParams& p : s.params) {
     w.f64(p.apc_alone);
@@ -152,26 +180,26 @@ std::vector<std::uint8_t> encode_payload(const ProfileSnapshot& s) {
   }
   w.f64(s.profiled_b);
   w.sz(s.state.size());
-  for (const std::uint8_t byte : s.state) w.u8(byte);
-  return w.take();
+  w.raw(s.state);
 }
 
 }  // namespace
 
 void write_profile_snapshot(const std::string& path,
                             const ProfileSnapshot& snapshot) {
-  const std::vector<std::uint8_t> payload = encode_payload(snapshot);
-
+  const std::size_t payload_len = payload_bytes(snapshot);
   snap::Writer w;
+  w.reserve(kHeaderBytes + payload_len + 8);
   for (const char m : kMagic) w.u8(static_cast<std::uint8_t>(m));
   w.u32(kFormatVersion);
   w.u64(snapshot.config_fp);
-  w.u64(payload.size());
-  for (const std::uint8_t byte : payload) w.u8(byte);
+  w.u64(payload_len);
+  encode_payload(w, snapshot);
+  BWPART_ASSERT(w.bytes().size() == kHeaderBytes + payload_len,
+                "snapshot payload length disagrees with its encoding");
   // The checksum covers everything before it (magic through payload), so a
   // flipped bit anywhere in the file — header included — fails the read.
-  const std::span<const std::uint8_t> body = w.bytes();
-  w.u64(hash_bytes(body.data(), body.size()));
+  w.u64(snapshot_checksum(w.bytes()));
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   snap::require(out.good(), "cannot open snapshot file for writing");
@@ -183,13 +211,10 @@ void write_profile_snapshot(const std::string& path,
 }
 
 ProfileSnapshot read_profile_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  snap::require(in.good(), "cannot open snapshot file for reading");
-  std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  snap::require(!in.bad(), "read from snapshot file failed");
+  std::vector<std::uint8_t> raw = snap::read_file(path, "snapshot");
+  const std::span<const std::uint8_t> file(raw);
 
-  snap::Reader r(raw);
+  snap::Reader r(file);
   for (const char m : kMagic) {
     snap::require(r.u8() == static_cast<std::uint8_t>(m),
                   "not a BWPS snapshot file (bad magic)");
@@ -202,22 +227,30 @@ ProfileSnapshot read_profile_snapshot(const std::string& path) {
         std::to_string(kFormatVersion) +
         "; v1 predates the SoA DRAM/controller state layout, v2 the "
         "multi-controller system layout, v3 the DRAM-generation "
-        "registry's config fingerprint, and v4 the churn engine's "
-        "liveness/tenancy state — re-capture the snapshot with "
-        "this build)");
+        "registry's config fingerprint, v4 the churn engine's "
+        "liveness/tenancy state, and v5 the word-wise file checksum — "
+        "re-capture the snapshot with this build)");
   }
 
   ProfileSnapshot s;
   s.config_fp = r.u64();
-  const std::size_t payload_len = r.sz();
-
-  const std::size_t body_len = r.position() + payload_len;
-  snap::require(body_len + 8 <= raw.size(),
+  const std::uint64_t payload_len = r.u64();
+  // Length, then checksum, then payload: a corrupt length or element count
+  // is caught before it can size an allocation.
+  snap::require(payload_len <= r.remaining() &&
+                    r.remaining() - payload_len >= 8,
                 "truncated snapshot file (payload shorter than its header "
                 "claims)");
-  const std::uint64_t want = hash_bytes(raw.data(), body_len);
+  snap::require(r.remaining() - payload_len == 8,
+                "trailing bytes after snapshot checksum");
+  const std::size_t body_len = kHeaderBytes + payload_len;
+  snap::Reader tail(file.subspan(body_len));
+  snap::require(tail.u64() == snapshot_checksum(file.first(body_len)),
+                "snapshot checksum mismatch (file corrupted)");
 
   const std::size_t count = r.sz();
+  snap::require(count <= r.remaining() / 16,
+                "snapshot parameter count exceeds the payload");
   s.params.resize(count);
   for (core::AppParams& p : s.params) {
     p.apc_alone = r.f64();
@@ -225,14 +258,16 @@ ProfileSnapshot read_profile_snapshot(const std::string& path) {
   }
   s.profiled_b = r.f64();
   const std::size_t state_len = r.sz();
-  s.state.resize(state_len);
-  for (std::uint8_t& byte : s.state) byte = r.u8();
+  const std::span<const std::uint8_t> state = r.raw(state_len);
   snap::require(r.position() == body_len,
                 "snapshot payload length disagrees with its contents");
 
-  const std::uint64_t got = r.u64();
-  snap::require(got == want, "snapshot checksum mismatch (file corrupted)");
-  snap::require(r.at_end(), "trailing bytes after snapshot checksum");
+  // The state blob is most of the file: shift it to the front of the file
+  // buffer and keep that buffer, instead of copying it into a second one.
+  const auto offset = static_cast<std::ptrdiff_t>(state.data() - file.data());
+  raw.erase(raw.begin(), raw.begin() + offset);
+  raw.resize(state_len);
+  s.state = std::move(raw);
   return s;
 }
 

@@ -64,16 +64,24 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
                                  std::span<const workload::BenchmarkSpec> apps,
                                  const PhaseConfig& phases);
 
+/// The BWPS file checksum: FNV-1a over 8-byte little-endian words (each
+/// product folded with its high half), then byte-wise over the 0-7 byte
+/// tail. Word-wise it runs several times faster than byte-wise FNV over a
+/// multi-megabyte state blob, and every step is a bijection of the running
+/// hash, so any change confined to one word changes the result.
+std::uint64_t snapshot_checksum(std::span<const std::uint8_t> bytes);
+
 /// Writes `snapshot` to `path` in the versioned "BWPS" container (magic,
-/// format version, config fingerprint, length-prefixed payload, FNV-1a
-/// checksum over everything before it). Throws snap::SnapshotError on I/O
-/// failure.
+/// format version 6, config fingerprint, length-prefixed payload,
+/// snapshot_checksum over everything before it). Throws snap::SnapshotError
+/// on I/O failure.
 void write_profile_snapshot(const std::string& path,
                             const ProfileSnapshot& snapshot);
 
-/// Reads a "BWPS" file back. Throws snap::SnapshotError naming the problem
-/// on a bad magic, an unsupported version, truncation, trailing bytes or a
-/// checksum mismatch — corruption is never silently restored.
+/// Reads a "BWPS" file back with one sized read. Throws snap::SnapshotError
+/// naming the problem on a bad magic, an unsupported version (v1-v5
+/// included), truncation, trailing bytes or a checksum mismatch —
+/// corruption is never silently restored.
 ProfileSnapshot read_profile_snapshot(const std::string& path);
 
 }  // namespace bwpart::harness

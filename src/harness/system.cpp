@@ -85,8 +85,14 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
         cfg_.queue_capacity_per_app, dram::MapScheme::ChanRowColBankRank,
         cfg_.queue_capacity_shared, mem::AdmissionMode::Shared));
     controllers_.back()->set_fast_forward(cfg_.fast_forward);
-    controllers_.back()->set_interference_observer(&interference_);
+    std::vector<AppId> served;
+    for (AppId a = static_cast<AppId>(c); a < n;
+         a += static_cast<AppId>(cfg_.num_controllers)) {
+      served.push_back(a);
+    }
+    controllers_.back()->set_served_apps(std::move(served));
   }
+  set_interference_accounting(true);
   ctrl_due_.assign(controllers_.size(), 0);
 
   traces_.reserve(n);
@@ -151,6 +157,12 @@ void CmpSystem::set_app_live(AppId app, bool live) {
   }
   live_[app] = live ? 1 : 0;
   controller_for(app).set_app_live(app, live);
+}
+
+void CmpSystem::set_interference_accounting(bool on) {
+  for (auto& mc : controllers_) {
+    mc->set_interference_observer(on ? &interference_ : nullptr);
+  }
 }
 
 std::size_t CmpSystem::num_live_apps() const {

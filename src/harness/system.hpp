@@ -130,6 +130,14 @@ class CmpSystem {
   /// Mean DRAM data-bus utilization across controllers (== the single
   /// controller's utilization on 1-controller configs).
   double bus_utilization() const;
+
+  /// Switches the Eq. 12-13 interference attribution on every controller
+  /// (on at construction). The counters feed only the APC_alone estimators
+  /// (profile phases, rolling re-profiling, churn re-profiles), and no
+  /// scheduling decision reads them, so turning accounting off where no
+  /// estimator runs skips its per-tick cost without changing any simulated
+  /// result; the counters simply stop advancing.
+  void set_interference_accounting(bool on);
   profile::InterferenceCounters& interference() { return interference_; }
   const profile::InterferenceCounters& interference() const {
     return interference_;

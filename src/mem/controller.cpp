@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/assert.hpp"
+#include "common/check.hpp"
 
 namespace bwpart::mem {
 
@@ -139,6 +140,19 @@ MemoryController::MemoryController(const dram::DramConfig& cfg,
   visited_row_.reserve(bound);
   for (PendQueue& q : pend_) q.reserve(bound);
   issued_scratch_.reserve(channels_);
+  served_apps_.resize(num_apps);
+  for (AppId a = 0; a < num_apps; ++a) served_apps_[a] = a;
+}
+
+void MemoryController::set_served_apps(std::vector<AppId> apps) {
+  BWPART_ASSERT(!apps.empty(), "controller must serve at least one app");
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    BWPART_ASSERT(apps[i] < num_apps_, "served app id out of range");
+    BWPART_ASSERT(i == 0 || apps[i - 1] < apps[i],
+                  "served apps must be strictly ascending");
+  }
+  served_apps_ = std::move(apps);
+  ++state_version_;
 }
 
 bool MemoryController::can_accept(AppId app) const {
@@ -238,6 +252,15 @@ std::uint64_t MemoryController::enqueue(AppId app, Addr addr, AccessType type,
                                         Cycle now_cpu) {
   BWPART_ASSERT(can_accept(app), "enqueue into full queue");
   BWPART_ASSERT(app_live_[app] != 0, "enqueue from a dormant app");
+  if constexpr (check::kEnabled) {
+    // Attribution and event probes visit only served_apps_; a request from
+    // any other app would go unaccounted there.
+    if (!std::binary_search(served_apps_.begin(), served_apps_.end(), app)) {
+      check::report("MemoryController::enqueue: app " + std::to_string(app) +
+                        " is not wired to this controller",
+                    __FILE__, __LINE__);
+    }
+  }
   ensure_order();
   const std::uint32_t slot = pool_.acquire();
   MemRequest& req = pool_[slot];
@@ -451,7 +474,7 @@ dram::Tick MemoryController::next_event_tick(dram::Tick from) const {
     // drains, or when a drain-held write becomes issue-ready (moving it
     // from "blocked on a resource" to "ready but not picked").
     const dram::TimingsTicks& t = dram_.timings();
-    for (AppId app = 0; app < num_apps_; ++app) {
+    for (const AppId app : served_apps_) {
       const std::uint32_t slot = oldest_pending_[app];
       if (slot == kNoSlot) continue;
       const MemRequest& r = pool_[slot];
@@ -742,7 +765,7 @@ void MemoryController::account_interference(dram::Tick now,
   // oldest waiting request and attribute this tick to interference when the
   // request is delayed by another application's use of the bus or bank
   // (paper Section IV-C; detection per STFM / FST).
-  for (AppId app = 0; app < num_apps_; ++app) {
+  for (const AppId app : served_apps_) {
     const std::uint32_t slot = oldest_pending_[app];
     if (slot == kNoSlot) continue;
     const MemRequest& oldest = pool_[slot];
@@ -782,7 +805,7 @@ void MemoryController::account_interference_range(dram::Tick from,
   // weights telescope: sum of (cpu_of(n+1) - cpu_of(n)) over [from, to).
   const Cycle weight = crossing_.cpu_cycle_of_tick(to) -
                        crossing_.cpu_cycle_of_tick(from);
-  for (AppId app = 0; app < num_apps_; ++app) {
+  for (const AppId app : served_apps_) {
     const std::uint32_t slot = oldest_pending_[app];
     if (slot == kNoSlot) continue;
     const MemRequest& oldest = pool_[slot];

@@ -147,10 +147,23 @@ class MemoryController {
   }
 
   void set_completion_callback(CompletionCallback cb) { on_complete_ = std::move(cb); }
+  /// Attaches the interference observer (nullptr detaches). Attribution
+  /// costs a per-app classification every executed bus tick and extra
+  /// flip ticks in the event horizon, and reads nothing back into any
+  /// scheduling decision, so hosts attach it only while a profiler consumes
+  /// the counters. Detaching never changes simulated results.
   void set_interference_observer(InterferenceObserver* obs) {
     observer_ = obs;
     ++state_version_;
   }
+
+  /// Restricts the applications this controller serves (default: every app
+  /// id in [0, num_apps)). A multi-controller host wires each application
+  /// to exactly one controller; the interference attribution and event
+  /// probes then visit only the served subset instead of every app id.
+  /// Under BWPART_CHECK an enqueue from an unserved app is reported as a
+  /// violation. Wiring, not state: snapshots do not carry it.
+  void set_served_apps(std::vector<AppId> apps);
 
   /// Attaches the observability hub (nullptr detaches). The controller
   /// records per-app request-latency histograms (arrival to data delivery,
@@ -386,6 +399,10 @@ class MemoryController {
   mutable std::uint64_t cached_event_version_ =
       std::numeric_limits<std::uint64_t>::max();
   mutable dram::Tick cached_event_tick_ = 0;
+
+  /// Applications wired to this controller (ascending ids); the only ones
+  /// whose oldest_pending_ entry can ever hold a slot.
+  std::vector<AppId> served_apps_;
 
   /// Each app's oldest pending request slot, maintained incrementally
   /// (set at enqueue when empty, recomputed only when the incumbent is

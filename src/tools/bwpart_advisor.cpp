@@ -13,8 +13,9 @@
 // Options:
 //   --in FILE          read requests from FILE (default stdin)
 //   --out FILE         write JSONL answers to FILE (default stdout)
-//   --threads N        solve parallelism (default auto, 1 = serial)
-//   --batch-lines N    lines per batch (default 4096)
+//   --threads N        solve parallelism (default auto, 1 = serial,
+//                      at most 256)
+//   --batch-lines N    lines per batch (default 4096, 1..1048576)
 //   --audit-every N    audit every Nth mix-tagged request (default off)
 //   --audit-cycles N   audit profile/measure window (default 100000)
 //   --audit-seed N     audit trace seed (default 42)
@@ -25,19 +26,29 @@
 //                      each churn instant), shares scattered over the
 //                      superset with dormant apps pinned to zero
 //   --quiet            suppress the stderr summary
+//
+// Numeric flags are parsed strictly (tools/cli_args.hpp): a malformed or
+// out-of-range value prints the reason plus the usage text and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "advisor/replay.hpp"
 #include "advisor/service.hpp"
 #include "obs/hub.hpp"
+#include "tools/cli_args.hpp"
 
 namespace {
+
+constexpr std::size_t kMaxThreads = 256;
+constexpr std::size_t kMaxBatchLines = std::size_t{1} << 20;
+constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -126,24 +137,36 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags: strict parse into `out`, usage error otherwise.
+    const auto number = [&](auto& out, auto lo, auto hi) {
+      const char* flag = argv[i];
+      return cli::parse_flag<std::remove_reference_t<decltype(out)>>(
+          flag, need(flag), out, lo, hi);
+    };
     if (std::strcmp(argv[i], "--in") == 0) {
       in_path = need("--in");
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out_path = need("--out");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      cfg.threads = static_cast<std::size_t>(std::atoll(need("--threads")));
+      if (!number(cfg.threads, std::size_t{0}, kMaxThreads)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--batch-lines") == 0) {
-      cfg.batch_lines =
-          static_cast<std::size_t>(std::atoll(need("--batch-lines")));
+      if (!number(cfg.batch_lines, std::size_t{1}, kMaxBatchLines)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--audit-every") == 0) {
-      cfg.audit_every =
-          static_cast<std::uint64_t>(std::atoll(need("--audit-every")));
+      if (!number(cfg.audit_every, std::uint64_t{0}, kNoLimit)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--audit-cycles") == 0) {
-      audit_cycles =
-          static_cast<std::uint64_t>(std::atoll(need("--audit-cycles")));
+      if (!number(audit_cycles, std::uint64_t{1}, kNoLimit)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--audit-seed") == 0) {
-      cfg.audit_phases.seed =
-          static_cast<std::uint64_t>(std::atoll(need("--audit-seed")));
+      if (!number(cfg.audit_phases.seed, std::uint64_t{0}, kNoLimit)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
       metrics_path = need("--metrics-out");
     } else if (std::strcmp(argv[i], "--churn-replay") == 0) {

@@ -9,9 +9,10 @@
 //   --benchmarks A,B,.. explicit benchmark list instead of a mix
 //   --scheme NAME|all   partitioning scheme (paper names) or every scheme
 //   --cycles N          profile/measure window (default 2000000)
-//   --copies N          workload replication (Fig. 4 style)
+//   --copies N          workload replication (Fig. 4 style), 1..1024
 //   --bandwidth GBPS    3.2, 6.4 or 12.8 (default 3.2); maps to the three
-//                       DDR2 grades of the paper's Fig. 4
+//                       DDR2 grades of the paper's Fig. 4, any other value
+//                       is rejected
 //   --dram-gen NAME     any registered DRAM generation (ddr2_400 ..
 //                       hbm_like; see README "DRAM generations"); overrides
 //                       --bandwidth, unknown names fail loudly listing the
@@ -45,6 +46,9 @@
 //   --qos I=T[,I=T...]  guarantee app index I an IPC of T (Eq. 11); the
 //                       --scheme partitions the best-effort remainder.
 //                       Applies to churn runs.
+//
+// Numeric flags are parsed strictly (tools/cli_args.hpp): a malformed or
+// out-of-range value prints the reason plus the usage text and exits 2.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -61,11 +65,15 @@
 #include "harness/experiment.hpp"
 #include "harness/shard.hpp"
 #include "obs/hub.hpp"
+#include "tools/cli_args.hpp"
 #include "workload/mixes.hpp"
 
 namespace {
 
 using namespace bwpart;
+
+/// Upper bound for --copies (Fig. 4 replicates a mix at most 16x).
+constexpr std::uint32_t kMaxCopies = 1024;
 
 std::optional<core::Scheme> parse_scheme(const std::string& name) {
   for (core::Scheme s : core::kAllSchemes) {
@@ -109,14 +117,11 @@ std::optional<std::vector<core::QosRequirement>> parse_qos(
     if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
       return std::nullopt;
     }
-    char* end = nullptr;
-    core::QosRequirement r;
-    r.app_index = static_cast<std::uint32_t>(
-        std::strtoul(item.c_str(), &end, 10));
-    if (end != item.c_str() + eq) return std::nullopt;
-    r.ipc_target = std::strtod(item.c_str() + eq + 1, &end);
-    if (*end != '\0' || r.ipc_target <= 0.0) return std::nullopt;
-    reqs.push_back(r);
+    const std::string_view text(item);
+    const auto index = cli::parse_number<std::uint32_t>(text.substr(0, eq));
+    const auto target = cli::parse_number<double>(text.substr(eq + 1));
+    if (!index || !target || *target <= 0.0) return std::nullopt;
+    reqs.push_back({*index, *target});
   }
   return reqs.empty() ? std::nullopt : std::make_optional(reqs);
 }
@@ -147,7 +152,7 @@ int main(int argc, char** argv) {
   Cycle churn_reprofile = 50'000;
   Cycle churn_epoch = 25'000;
   bool churn_static = false;
-  std::string qos_spec;
+  std::vector<core::QosRequirement> qos;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -161,20 +166,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--scheme") {
       if (const char* v = next()) scheme_name = v; else return usage(argv[0]);
     } else if (arg == "--cycles") {
-      if (const char* v = next()) cycles = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<Cycle>(arg, next(), cycles, 1)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--copies") {
-      if (const char* v = next())
-        copies = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-      else return usage(argv[0]);
+      if (!cli::parse_flag<std::uint32_t>(arg, next(), copies, 1,
+                                          kMaxCopies)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--bandwidth") {
-      if (const char* v = next()) bandwidth = std::strtod(v, nullptr);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<double>(arg, next(), bandwidth)) {
+        return usage(argv[0]);
+      }
+      if (bandwidth != 3.2 && bandwidth != 6.4 && bandwidth != 12.8) {
+        std::fprintf(stderr,
+                     "--bandwidth: %g is not one of 3.2, 6.4, 12.8 (use "
+                     "--dram-gen for any other machine)\n",
+                     bandwidth);
+        return usage(argv[0]);
+      }
     } else if (arg == "--dram-gen") {
       if (const char* v = next()) dram_gen = v; else return usage(argv[0]);
     } else if (arg == "--seed") {
-      if (const char* v = next()) seed = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<std::uint64_t>(arg, next(), seed)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--oracle") {
       oracle = true;
     } else if (arg == "--csv") {
@@ -186,34 +202,44 @@ int main(int argc, char** argv) {
     } else if (arg == "--epochs-out") {
       if (const char* v = next()) epochs_out = v; else return usage(argv[0]);
     } else if (arg == "--epoch-cycles") {
-      if (const char* v = next()) epoch_cycles = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<Cycle>(arg, next(), epoch_cycles)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--snapshot-out") {
       if (const char* v = next()) snapshot_out = v; else return usage(argv[0]);
     } else if (arg == "--resume") {
       if (const char* v = next()) resume_path = v; else return usage(argv[0]);
     } else if (arg == "--controllers") {
-      if (const char* v = next())
-        controllers = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-      else return usage(argv[0]);
+      if (!cli::parse_flag<std::size_t>(arg, next(), controllers, 1)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--shard-worker") {
       if (const char* v = next()) shard_spool = v; else return usage(argv[0]);
     } else if (arg == "--lease-ms") {
-      if (const char* v = next()) lease_ms = std::strtol(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<long>(arg, next(), lease_ms, 1)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--churn") {
       if (const char* v = next()) churn_path = v; else return usage(argv[0]);
     } else if (arg == "--churn-reprofile") {
-      if (const char* v = next())
-        churn_reprofile = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<Cycle>(arg, next(), churn_reprofile)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--churn-epoch") {
-      if (const char* v = next()) churn_epoch = std::strtoull(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<Cycle>(arg, next(), churn_epoch, 1)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--churn-static") {
       churn_static = true;
     } else if (arg == "--qos") {
-      if (const char* v = next()) qos_spec = v; else return usage(argv[0]);
+      const char* v = next();
+      const auto parsed = v != nullptr ? parse_qos(v) : std::nullopt;
+      if (!parsed) {
+        std::fprintf(stderr, "bwpart_sim: --qos: malformed spec '%s'\n",
+                     v != nullptr ? v : "");
+        return usage(argv[0]);
+      }
+      qos = *parsed;
     } else {
       return usage(argv[0]);
     }
@@ -268,9 +294,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bwpart_sim: --dram-gen: %s\n", e.what());
       return 2;
     }
-  } else if (bandwidth >= 12.0) {
+  } else if (bandwidth == 12.8) {
     machine.dram = dram::DramConfig::ddr2_1600();
-  } else if (bandwidth >= 6.0) {
+  } else if (bandwidth == 6.4) {
     machine.dram = dram::DramConfig::ddr2_800();
   } else {
     machine.dram = dram::DramConfig::ddr2_400();
@@ -366,21 +392,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bwpart_sim: --churn: %s\n", e.what());
       return 1;
     }
-    std::vector<core::QosRequirement> qos;
-    if (!qos_spec.empty()) {
-      const auto parsed = parse_qos(qos_spec);
-      if (!parsed) {
-        std::fprintf(stderr, "bwpart_sim: --qos: malformed spec '%s'\n",
-                     qos_spec.c_str());
-        return usage(argv[0]);
-      }
-      qos = *parsed;
-      for (const core::QosRequirement& r : qos) {
-        if (r.app_index >= apps.size()) {
-          std::fprintf(stderr, "bwpart_sim: --qos: app %u out of range\n",
-                       r.app_index);
-          return 1;
-        }
+    for (const core::QosRequirement& r : qos) {
+      if (r.app_index >= apps.size()) {
+        std::fprintf(stderr, "bwpart_sim: --qos: app %u out of range\n",
+                     r.app_index);
+        return 1;
       }
     }
     if (csv) {

@@ -15,7 +15,7 @@
 //                      portfolio64 (quick@GEN pins the quick portfolio to a
 //                      registered DRAM generation, e.g. quick@ddr4_2400)
 //   --spool DIR        spool directory (created; reusable for resume)
-//   --workers N        worker processes (default 2)
+//   --workers N        worker processes (default 2, at most 256)
 //   --scaling W,...    one full round per worker count, each in its own
 //                      sub-spool (<spool>/w<N>), reporting scaling
 //                      efficiency t1/(W*tW) over the measure phase
@@ -52,6 +52,7 @@
 
 #include "harness/differential.hpp"
 #include "harness/shard.hpp"
+#include "tools/cli_args.hpp"
 
 namespace {
 
@@ -59,6 +60,9 @@ using namespace bwpart;
 namespace fs = std::filesystem;
 namespace shard = harness::shard;
 using Clock = std::chrono::steady_clock;
+
+/// Upper bound for --workers and every --scaling entry (worker processes).
+constexpr std::size_t kMaxWorkers = 256;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -292,24 +296,29 @@ int main(int argc, char** argv) {
     } else if (arg == "--spool") {
       if (const char* v = next()) spool_dir = v; else return usage(argv[0]);
     } else if (arg == "--workers") {
-      if (const char* v = next())
-        workers = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-      else return usage(argv[0]);
+      if (!cli::parse_flag<std::size_t>(arg, next(), workers, 1,
+                                        kMaxWorkers)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--scaling") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       std::stringstream ss(v);
       std::string item;
       while (std::getline(ss, item, ',')) {
-        scaling.push_back(
-            static_cast<std::size_t>(std::strtoul(item.c_str(), nullptr,
-                                                  10)));
+        std::size_t w = 0;
+        if (!cli::parse_flag<std::size_t>(arg, item.c_str(), w, 1,
+                                          kMaxWorkers)) {
+          return usage(argv[0]);
+        }
+        scaling.push_back(w);
       }
     } else if (arg == "--sim") {
       if (const char* v = next()) sim = v; else return usage(argv[0]);
     } else if (arg == "--lease-ms") {
-      if (const char* v = next()) lease_ms = std::strtol(v, nullptr, 10);
-      else return usage(argv[0]);
+      if (!cli::parse_flag<long>(arg, next(), lease_ms, 1)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--report") {

@@ -236,6 +236,22 @@ TEST(AdvisorCli, AuditModeSamplesAndReportsErrors) {
   std::remove(resp.c_str());
 }
 
+// Malformed or out-of-range numeric flags are usage errors (exit 2), not
+// values silently coerced by atoll (`--threads -1` used to wrap to a huge
+// thread count, `--batch-lines 0` to 1).
+TEST(AdvisorCli, MalformedNumericFlagsAreUsageErrors) {
+  for (const char* args :
+       {" --threads -1", " --threads 4x", " --threads 100000",
+        " --batch-lines 0", " --audit-every 1.5", " --audit-cycles 0",
+        " --audit-seed", " --audit-seed ''"}) {
+    EXPECT_EQ(run_cmd(g_advisor_path + args + " --quiet < /dev/null"), 2)
+        << args;
+  }
+  EXPECT_EQ(run_cmd(g_advisor_path + " --threads 2 --batch-lines 64 --quiet" +
+                    " < /dev/null > /dev/null"),
+            0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -200,6 +200,42 @@ TEST(CliSmoke, UnknownDramGenerationIsRejectedLoudly) {
   std::remove(errfile.c_str());
 }
 
+// Malformed numeric flags are usage errors (exit 2, reason on stderr), never
+// a silently substituted value: `--bandwidth garbage` used to parse as 0.0
+// and run the 3.2 GB/s machine, and `--cycles 12abc` used to run a 12-cycle
+// window into an internal invariant abort (exit 134).
+TEST(CliSmoke, MalformedNumericFlagsAreUsageErrors) {
+  const std::string errfile = tmp_path("num_err.txt");
+  const auto exit_code = [&](const std::string& args) {
+    const int status = std::system((g_sim_path + " --scheme Equal" + args +
+                                    " > /dev/null 2> " + errfile)
+                                       .c_str());
+    return status == -1 ? -1 : WEXITSTATUS(status);
+  };
+  struct Case {
+    const char* args;
+    const char* flag;
+  };
+  for (const Case& c : {Case{" --bandwidth garbage", "--bandwidth"},
+                        Case{" --cycles 12abc", "--cycles"},
+                        Case{" --bandwidth 5.0", "--bandwidth"},
+                        Case{" --cycles -1", "--cycles"},
+                        Case{" --seed 42x", "--seed"},
+                        Case{" --copies 0", "--copies"},
+                        Case{" --lease-ms 1e3", "--lease-ms"},
+                        Case{" --qos 0=nan", "--qos"}}) {
+    EXPECT_EQ(exit_code(c.args), 2) << c.args;
+    const std::string err = read_file(errfile);
+    EXPECT_NE(err.find(c.flag), std::string::npos)
+        << c.args << ": stderr should name the flag: " << err;
+  }
+  // A missing value is the same usage error.
+  EXPECT_EQ(exit_code(" --epoch-cycles"), 2);
+  // The documented values still parse.
+  EXPECT_EQ(exit_code(" --mix hetero-3 --cycles 20000 --bandwidth 12.8"), 0);
+  std::remove(errfile.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bwpart {
@@ -114,6 +116,11 @@ TEST(Parallel, MalformedSweepThreadsEnvMeansNoCap) {
 TEST(Parallel, ActuallyUsesMultipleThreads) {
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};
+  // Each task holds its slot until a second task runs at the same time (or
+  // a generous deadline passes), so the overlap shows however a loaded host
+  // schedules the workers; a serial pool pays the deadline once and fails.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
   parallel_for(
       64,
       [&](std::size_t) {
@@ -121,9 +128,9 @@ TEST(Parallel, ActuallyUsesMultipleThreads) {
         int p = peak.load();
         while (now > p && !peak.compare_exchange_weak(p, now)) {
         }
-        // Busy-wait a little so workers overlap.
-        volatile int sink = 0;
-        for (int k = 0; k < 100000; ++k) sink = sink + 1;
+        while (peak.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
         concurrent.fetch_sub(1);
       },
       4);

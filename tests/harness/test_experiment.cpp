@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "harness/differential.hpp"
 #include "workload/mixes.hpp"
 
 namespace bwpart::harness {
@@ -164,6 +167,90 @@ TEST(ProfileStandalone, ReproducesCalibratedClasses) {
   EXPECT_EQ(classify_intensity(
                 profile_standalone(cfg, namd, phases).apc_alone * 1000),
             Intensity::Low);
+}
+
+// measure_phase turns interference accounting off unless the rolling
+// re-profiler runs. Forking one profile snapshot into a measure phase with
+// accounting on and one with it off, both set up as measure_phase sets
+// them up, must give bit-identical measurements, and the switched-off
+// counters must stay at zero.
+TEST(Experiment, MeasureWithoutInterferenceAccountingIsBitIdentical) {
+  const Experiment ex = make_experiment();
+  const ProfileSnapshot snap = ex.capture_profile();
+  const std::size_t n = ex.apps().size();
+  for (const core::Scheme scheme :
+       {core::Scheme::NoPartitioning, core::Scheme::SquareRoot,
+        core::Scheme::PriorityApc}) {
+    std::vector<std::unique_ptr<CmpSystem>> runs;
+    for (const bool accounting : {true, false}) {
+      auto sys = std::make_unique<CmpSystem>(ex.system_config(), ex.apps(),
+                                             ex.phases().seed);
+      snap::Reader r(snap.state);
+      sys->restore_state(r);
+      sys->controller().replace_scheduler(
+          make_scheduler(scheme, n, snap.params,
+                         ex.system_config().dstf_row_hit_window));
+      sys->controller().set_admission_mode(
+          scheme == core::Scheme::NoPartitioning ? mem::AdmissionMode::Shared
+                                                 : mem::AdmissionMode::PerApp);
+      sys->set_interference_accounting(accounting);
+      sys->reset_measurement();
+      sys->run(ex.phases().measure_cycles);
+      runs.push_back(std::move(sys));
+    }
+    const CmpSystem& on = *runs[0];
+    const CmpSystem& off = *runs[1];
+    const std::string name = core::to_string(scheme);
+    EXPECT_EQ(on.measured_ipc(), off.measured_ipc()) << name;
+    EXPECT_EQ(on.measured_apc(), off.measured_apc()) << name;
+    EXPECT_EQ(on.measured_total_apc(), off.measured_total_apc()) << name;
+    EXPECT_EQ(on.bus_utilization(), off.bus_utilization()) << name;
+    Cycle on_total = 0;
+    for (const profile::AppCounters& c : off.profiler_counters()) {
+      EXPECT_EQ(c.interference_cycles, 0u) << name;
+    }
+    for (const profile::AppCounters& c : on.profiler_counters()) {
+      on_total += c.interference_cycles;
+    }
+    EXPECT_GT(on_total, 0u) << name;
+  }
+  // And the fork, which runs without accounting, still reproduces the
+  // straight run.
+  EXPECT_EQ(fingerprint(ex.measure_from(snap, core::Scheme::SquareRoot)),
+            fingerprint(ex.run(core::Scheme::SquareRoot)));
+}
+
+// With reprofile_period > 0 the measure phase keeps accounting on: the
+// rolling re-profiler's estimates must see real interference, and the fork
+// must still reproduce the straight run. With one period spanning the
+// whole window the final estimate is accesses / (window - interference),
+// which exceeds the app's measured shared APC exactly when interference was
+// attributed to it.
+TEST(Experiment, RollingReprofileStillSeesInterference) {
+  static const auto apps = workload::resolve_mix(workload::fig1_mix());
+  PhaseConfig phases = quick_phases();
+  phases.reprofile_period = phases.measure_cycles;
+  const Experiment ex(SystemConfig{}, apps, phases);
+  const ProfileSnapshot snap = ex.capture_profile();
+  const RunResult r = ex.run(core::Scheme::SquareRoot);
+  ASSERT_EQ(r.params.size(), apps.size());
+  std::size_t interfered = 0;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    EXPECT_GE(r.params[i].apc_alone, r.apc_shared[i]) << apps[i].name;
+    if (r.params[i].apc_alone > r.apc_shared[i]) ++interfered;
+  }
+  EXPECT_EQ(interfered, apps.size());
+  EXPECT_NE(r.params[0].apc_alone, snap.params[0].apc_alone)
+      << "the rolling update never replaced the profile estimate";
+  EXPECT_EQ(fingerprint(ex.measure_from(snap, core::Scheme::SquareRoot)),
+            fingerprint(r));
+
+  // Several updates inside the window: fork and straight run still agree.
+  phases.reprofile_period = phases.measure_cycles / 4;
+  const Experiment ex4(SystemConfig{}, apps, phases);
+  EXPECT_EQ(fingerprint(ex4.measure_from(ex4.capture_profile(),
+                                         core::Scheme::Proportional)),
+            fingerprint(ex4.run(core::Scheme::Proportional)));
 }
 
 }  // namespace

@@ -228,5 +228,62 @@ TEST(CmpSystem, InterferenceObservedUnderContention) {
   EXPECT_GT(total, 0u);
 }
 
+// Each controller's attribution and event probes visit only the apps wired
+// to it. Re-wiring every controller to scan the whole app-id space must give
+// the exact same interference counters and service: apps outside a
+// controller's subset never hold a pending request there.
+TEST(MultiController, ServedSubsetAttributionMatchesFullScan) {
+  SystemConfig cfg;
+  cfg.num_controllers = 4;
+  CmpSystem subset(cfg, eight_apps(), 5);
+  CmpSystem full(cfg, eight_apps(), 5);
+  std::vector<AppId> all(full.num_apps());
+  for (AppId a = 0; a < full.num_apps(); ++a) all[a] = a;
+  for (std::size_t c = 0; c < full.num_controllers(); ++c) {
+    full.controller(c).set_served_apps(all);
+  }
+  subset.run(300'000);
+  full.run(300'000);
+  std::uint64_t total = 0;
+  for (AppId a = 0; a < subset.num_apps(); ++a) {
+    EXPECT_EQ(subset.interference().interference_cycles(a),
+              full.interference().interference_cycles(a))
+        << "app " << a;
+    EXPECT_EQ(subset.controller_for(a).app_stats(a).served(),
+              full.controller_for(a).app_stats(a).served());
+    total += subset.interference().interference_cycles(a);
+  }
+  EXPECT_GT(total, 0u);
+}
+
+// Interference accounting is observation only: switching it off changes no
+// simulated counter, on one controller or several, and the Eq. 12-13
+// counters then stay at zero.
+TEST(CmpSystem, InterferenceAccountingOffIsResultNeutral) {
+  for (const std::size_t controllers : {std::size_t{1}, std::size_t{2}}) {
+    SystemConfig cfg;
+    cfg.num_controllers = controllers;
+    CmpSystem on(cfg, eight_apps(), 9);
+    CmpSystem off(cfg, eight_apps(), 9);
+    off.set_interference_accounting(false);
+    for (CmpSystem* sys : {&on, &off}) {
+      sys->run(50'000);
+      sys->reset_measurement();
+      sys->run(250'000);
+    }
+    EXPECT_EQ(on.measured_ipc(), off.measured_ipc()) << controllers;
+    EXPECT_EQ(on.measured_apc(), off.measured_apc()) << controllers;
+    EXPECT_EQ(on.bus_utilization(), off.bus_utilization()) << controllers;
+    std::uint64_t on_total = 0;
+    for (AppId a = 0; a < on.num_apps(); ++a) {
+      EXPECT_EQ(on.core(a).stats().instructions,
+                off.core(a).stats().instructions);
+      EXPECT_EQ(off.interference().interference_cycles(a), 0u);
+      on_total += on.interference().interference_cycles(a);
+    }
+    EXPECT_GT(on_total, 0u) << controllers;
+  }
+}
+
 }  // namespace
 }  // namespace bwpart::harness

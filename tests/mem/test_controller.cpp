@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "profile/interference.hpp"
 
 namespace bwpart::mem {
@@ -266,6 +267,22 @@ TEST(Controller, NoInterferenceWhenRunningAlone) {
   }
   EXPECT_EQ(ic.interference_cycles(0), 0u);
   EXPECT_EQ(ic.interference_cycles(1), 0u);
+}
+
+// A controller wired to a subset of the app-id space attributes and probes
+// only that subset, so an enqueue from any other app is a wiring bug the
+// invariant checker must catch.
+TEST(Controller, EnqueueFromUnservedAppIsReported) {
+  if constexpr (!check::kEnabled) GTEST_SKIP() << "BWPART_CHECK is off";
+  MemoryController mc(quiet_dram(), kCpu, 4,
+                      std::make_unique<FcfsScheduler>());
+  mc.set_served_apps({1, 3});
+  check::Recorder rec;
+  mc.enqueue(1, 0, AccessType::Read, 0);
+  mc.enqueue(3, 64, AccessType::Read, 0);
+  EXPECT_EQ(rec.count(), 0u);
+  mc.enqueue(2, 128, AccessType::Read, 0);
+  EXPECT_TRUE(rec.caught("app 2 is not wired to this controller"));
 }
 
 }  // namespace
