@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -89,12 +90,27 @@ std::vector<core::AppParams> Experiment::profile_phase(CmpSystem& sys) const {
     PhaseTimer timer(hub_, "harness.wall_ns.profile");
     sys.run(phases_.profile_cycles);
   }
-  if (phases_.oracle_alone) return profile_alone_oracle();
-  const auto counters = sys.profiler_counters();
   std::vector<core::AppParams> params;
-  params.reserve(counters.size());
-  for (const profile::AppCounters& c : counters) {
-    params.push_back(profile::estimate_alone(c, phases_.profile_cycles));
+  if (phases_.oracle_alone) {
+    params = profile_alone_oracle();
+  } else {
+    const auto counters = sys.profiler_counters();
+    params.reserve(counters.size());
+    for (const profile::AppCounters& c : counters) {
+      params.push_back(profile::estimate_alone(c, phases_.profile_cycles));
+    }
+  }
+  // Every scheme and metric divides by API, which core::AppParams asserts
+  // positive; a window in which an app was served nothing is a usage error
+  // (too short a window), reported as one before anything divides.
+  for (std::size_t a = 0; a < params.size(); ++a) {
+    if (params[a].api > 0.0 && params[a].apc_alone > 0.0) continue;
+    throw ProfileWindowError(
+        "app " + std::to_string(a) + " (" + std::string(apps_[a].name) +
+        ") was served no memory access in the " +
+        std::to_string(phases_.profile_cycles) +
+        "-cycle profile window, so its APC_alone and API cannot be "
+        "estimated (the window is too short)");
   }
   return params;
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/app_params.hpp"
@@ -20,6 +21,16 @@ namespace bwpart::harness {
 struct ChurnSchedule;
 struct ChurnRunConfig;
 struct ChurnRunResult;
+
+/// A profile window too short to estimate some application's parameters:
+/// the app was served no memory access (or retired no instruction) in it,
+/// so its API and APC_alone come out zero and no scheme or metric can use
+/// them. Raised by every profile phase; the message names the app and the
+/// window. A longer profile window is the fix.
+class ProfileWindowError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct PhaseConfig {
   Cycle warmup_cycles = 500'000;

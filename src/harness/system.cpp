@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace bwpart::harness {
 
@@ -93,7 +94,6 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
     controllers_.back()->set_served_apps(std::move(served));
   }
   set_interference_accounting(true);
-  ctrl_due_.assign(controllers_.size(), 0);
 
   traces_.reserve(n);
   cores_.reserve(n);
@@ -105,38 +105,49 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
     cores_.push_back(std::make_unique<cpu::OoOCore>(
         a, cc, *traces_[a], *controllers_[a % controllers_.size()]));
   }
-  sleep_until_.assign(n, 0);
-  slept_from_.assign(n, 0);
-  sleep_kind_.assign(n, cpu::SleepFlavor::kStallOwn);
   live_.assign(n, 1);
   live_cycles_.assign(n, 0);
   live_from_.assign(n, 0);
-  const auto on_complete =
-      [this](const mem::MemRequest& req, Cycle done_cpu) {
-        // A read completion writes the load queue the deterministic-window
-        // replay reads. In the reference loop the core's ticks at cycles
-        // <= now_ ran before this delivery, so a kDet sleeper's deferred
-        // range must be replayed with the pre-delivery load state first.
-        // A dormant app can still receive completions (its queued requests
-        // drain after departure) but holds no deferred cycles to replay —
-        // its sleep bookkeeping is frozen at departure and stale.
-        const bool read = req.type == AccessType::Read;
-        if (read && live_[req.app] != 0 &&
-            sleep_kind_[req.app] == cpu::SleepFlavor::kDet) {
-          flush_deferred_stalls(req.app, now_ + 1);
-        }
-        cores_[req.app]->on_mem_complete(req, done_cpu);
-        // A completion can unblock the completing application's own
-        // stall-sleeping core (MSHR, store buffer, per-app queue slice,
-        // dependent load) and any core stall-sleeping on shared queue
-        // space, so those sleep proofs are void past this cycle; a read
-        // completion additionally invalidates its own core's
-        // deterministic-window proof. Idle proofs (and det proofs under
-        // write completions) read nothing the completion touched and stay
-        // valid.
-        wake_sleepers(req.app, read);
-      };
-  for (auto& mc : controllers_) mc->set_completion_callback(on_complete);
+  const std::size_t nc = controllers_.size();
+  parts_.resize(nc);
+  for (std::size_t c = 0; c < nc; ++c) {
+    // Local slots k = 0, 1, ... hold cores c, c + nc, ... (ceil division:
+    // the first n % nc partitions get one core more).
+    const std::size_t m = (n - c + nc - 1) / nc;
+    parts_[c].sleep_until.assign(m, 0);
+    parts_[c].slept_from.assign(m, 0);
+    parts_[c].sleep_kind.assign(m, cpu::SleepFlavor::kStallOwn);
+    // A completion is delivered by controller c's tick, which only its own
+    // partition's run ever calls, so the callback touches that partition's
+    // clock and cores alone.
+    controllers_[c]->set_completion_callback(
+        [this, c, nc](const mem::MemRequest& req, Cycle done_cpu) {
+          const std::size_t k = req.app / nc;
+          Partition& p = parts_[c];
+          // A read completion writes the load queue the deterministic-window
+          // replay reads. In the reference loop the core's ticks at cycles
+          // <= now ran before this delivery, so a kDet sleeper's deferred
+          // range must be replayed with the pre-delivery load state first.
+          // A dormant app can still receive completions (its queued
+          // requests drain after departure) but holds no deferred cycles to
+          // replay — its sleep bookkeeping is frozen at departure and stale.
+          const bool read = req.type == AccessType::Read;
+          if (read && live_[req.app] != 0 &&
+              p.sleep_kind[k] == cpu::SleepFlavor::kDet) {
+            flush_deferred_stalls(c, k, p.now + 1);
+          }
+          cores_[req.app]->on_mem_complete(req, done_cpu);
+          // A completion can unblock the completing application's own
+          // stall-sleeping core (MSHR, store buffer, per-app queue slice,
+          // dependent load) and any core stall-sleeping on this
+          // controller's shared queue space, so those sleep proofs are void
+          // past this cycle; a read completion additionally invalidates its
+          // own core's deterministic-window proof. Idle proofs (and det
+          // proofs under write completions) read nothing the completion
+          // touched and stay valid.
+          wake_sleepers(c, k, read);
+        });
+  }
 }
 
 double CmpSystem::bus_utilization() const {
@@ -184,33 +195,38 @@ Cycle CmpSystem::live_window(AppId app) const {
   return cycles;
 }
 
-void CmpSystem::wake_sleepers(AppId app, bool read) {
-  for (std::size_t i = 0; i < sleep_until_.size(); ++i) {
-    if (live_[i] == 0) continue;  // dormant cores never tick, never wake
-    const cpu::SleepFlavor f = sleep_kind_[i];
+void CmpSystem::wake_sleepers(std::size_t c, std::size_t k, bool read) {
+  Partition& p = parts_[c];
+  for (std::size_t j = 0; j < p.sleep_until.size(); ++j) {
+    // Dormant cores never tick, never wake.
+    if (live_[core_of(c, j)] == 0) continue;
+    const cpu::SleepFlavor f = p.sleep_kind[j];
     if (f == cpu::SleepFlavor::kStallShared ||
-        (i == app && (f == cpu::SleepFlavor::kStallOwn ||
-                      (read && f == cpu::SleepFlavor::kDet)))) {
-      sleep_until_[i] = std::min(sleep_until_[i], now_ + 1);
+        (j == k && (f == cpu::SleepFlavor::kStallOwn ||
+                    (read && f == cpu::SleepFlavor::kDet)))) {
+      p.sleep_until[j] = std::min(p.sleep_until[j], p.now + 1);
     }
   }
 }
 
-void CmpSystem::flush_deferred_stalls(std::size_t i, Cycle upto) {
-  if (slept_from_[i] < upto) {
-    const Cycle owed = upto - slept_from_[i];
-    switch (sleep_kind_[i]) {
+void CmpSystem::flush_deferred_stalls(std::size_t c, std::size_t k,
+                                      Cycle upto) {
+  Partition& p = parts_[c];
+  if (p.slept_from[k] < upto) {
+    const Cycle owed = upto - p.slept_from[k];
+    cpu::OoOCore& core = *cores_[core_of(c, k)];
+    switch (p.sleep_kind[k]) {
       case cpu::SleepFlavor::kIdle:
-        cores_[i]->fast_forward_idle(owed);
+        core.fast_forward_idle(owed);
         break;
       case cpu::SleepFlavor::kDet:
-        cores_[i]->fast_forward_det(slept_from_[i], owed);
+        core.fast_forward_det(p.slept_from[k], owed);
         break;
       default:
-        cores_[i]->fast_forward_stall(owed);
+        core.fast_forward_stall(owed);
         break;
     }
-    slept_from_[i] = upto;
+    p.slept_from[k] = upto;
   }
 }
 
@@ -361,35 +377,55 @@ void CmpSystem::run_engine(Cycle cycles) {
     }
     return;
   }
+  // Partitions share nothing a run writes (apps only ever talk to their own
+  // controller), so each runs to `end` on its own clock: fork-join once per
+  // run() chunk. Short chunks run the partitions one after another — the
+  // thread start-up would cost more than the chunk itself.
+  const std::size_t nc = parts_.size();
+  if (nc == 1) {
+    run_partition(0, end);
+  } else if (cycles < kParallelMinCycles) {
+    for (std::size_t c = 0; c < nc; ++c) run_partition(c, end);
+  } else {
+    parallel_for(nc, [&](std::size_t c) { run_partition(c, end); });
+  }
+  now_ = end;
+  for (Partition& p : parts_) {
+    skipped_cycles_ += p.skipped;
+    p.skipped = 0;
+  }
+}
+
+void CmpSystem::run_partition(std::size_t c, Cycle end) {
   // Event-driven engine. Each core that proves itself stalled sleeps until
   // its own wake cycle (or a completion — the only event that can unblock a
   // core early — cuts the sleep short); its deferred cycles are replayed in
   // closed form by fast_forward_stall() when it next ticks, so the stats
-  // stay bit-identical to ticking every cycle. When every core sleeps, the
-  // whole system additionally jumps to the controller's next event. Sleep
-  // proofs do not survive external reconfiguration between run() calls
-  // (scheduler swaps, admission/write-drain changes), so all cores start
-  // awake.
-  const std::size_t n = cores_.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  // stay bit-identical to ticking every cycle. When every core of the
+  // partition sleeps, the partition additionally jumps to its controller's
+  // next event. Sleep proofs do not survive external reconfiguration
+  // between run() calls (scheduler swaps, admission/write-drain changes),
+  // so all cores start awake.
+  Partition& p = parts_[c];
+  mem::MemoryController& mc = *controllers_[c];
+  const std::size_t m = p.sleep_until.size();
+  Cycle& now = p.now;
+  now = now_;
+  for (std::size_t k = 0; k < m; ++k) {
     // Dormant cores sleep unconditionally past the horizon: they never tick,
     // never flush deferred cycles, and never cap the all-asleep jump (the
     // kNoCycle sentinel compares greater than every wake candidate).
-    sleep_until_[i] = live_[i] != 0 ? now_ : kNoCycle;
-    slept_from_[i] = now_;
+    p.sleep_until[k] = live_[core_of(c, k)] != 0 ? now : kNoCycle;
+    p.slept_from[k] = now;
   }
   // Controller tick() calls on CPU cycles with no due bus tick are no-ops
-  // (the clock-crossing target does not advance); elide them, per
-  // controller. Controllers are mutually independent, so ticking each on
-  // its own due cycles (in index order) reproduces the reference
-  // interleaving exactly.
-  const std::size_t nc = controllers_.size();
-  ctrl_due_.assign(nc, 0);
-  while (now_ < end) {
+  // (the clock-crossing target does not advance); elide them.
+  p.ctrl_due = 0;
+  while (now < end) {
     Cycle min_wake = end;
     bool all_asleep = true;
-    for (const Cycle s : sleep_until_) {
-      if (s <= now_) {
+    for (const Cycle s : p.sleep_until) {
+      if (s <= now) {
         all_asleep = false;
         break;
       }
@@ -400,60 +436,53 @@ void CmpSystem::run_engine(Cycle cycles) {
       // delivery, command issue, refresh/power-down transition). The
       // controller bound means no completion lands inside the skipped
       // range, so the sleep proofs hold across it. Cores tick before the
-      // controllers within a cycle, so resuming at `wake` preserves the
+      // controller within a cycle, so resuming at `wake` preserves the
       // reference interleaving exactly.
-      Cycle ctrl = kNoCycle;
-      for (const auto& mc : controllers_) {
-        ctrl = std::min(ctrl, mc->next_event_cpu_cycle());
-      }
-      const Cycle wake = std::min(min_wake, ctrl);  // min_wake caps at end
-      if (wake >= end) {
-        skipped_cycles_ += end - now_;
-        now_ = end;
-        // Keep the controllers caught up with the cycles the reference
-        // loop would have ticked them through before exiting.
-        for (auto& mc : controllers_) mc->tick(end - 1);
+      const Cycle wake = std::min(min_wake, mc.next_event_cpu_cycle());
+      if (wake >= end) {  // min_wake caps at end
+        p.skipped += end - now;
+        now = end;
+        // Keep the controller caught up with the cycles the reference loop
+        // would have ticked it through before exiting.
+        mc.tick(end - 1);
         break;
       }
-      if (wake > now_) {
-        skipped_cycles_ += wake - now_;
-        now_ = wake;
+      if (wake > now) {
+        p.skipped += wake - now;
+        now = wake;
       }
-      // A controller event due at now_ itself: fall through — no core
+      // A controller event due at now itself: fall through — no core
       // ticks, the controller tick below processes it.
     }
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (ctrl_due_[c] < now_) {
-        // Catch up on bus ticks that fell due before this cycle (a jump
-        // can pass over dead ticks). The reference loop processed them
-        // before any core acted at now_, so requests enqueued this cycle
-        // must not be visible to them — attribution and issue decisions
-        // for those ticks would otherwise see queue state from the future.
-        controllers_[c]->tick(now_ - 1);
-        ctrl_due_[c] = controllers_[c]->next_bus_activity_cpu_cycle();
-      }
+    if (p.ctrl_due < now) {
+      // Catch up on bus ticks that fell due before this cycle (a jump can
+      // pass over dead ticks). The reference loop processed them before any
+      // core acted at now, so requests enqueued this cycle must not be
+      // visible to them — attribution and issue decisions for those ticks
+      // would otherwise see queue state from the future.
+      mc.tick(now - 1);
+      p.ctrl_due = mc.next_bus_activity_cpu_cycle();
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sleep_until_[i] > now_) continue;
-      if (slept_from_[i] < now_) flush_deferred_stalls(i, now_);
-      cores_[i]->tick(now_);
-      const cpu::WakeProof p = cores_[i]->prove_sleep(now_);
-      sleep_kind_[i] = p.flavor;
-      sleep_until_[i] = std::max(p.wake, now_ + 1);  // kNoCycle stays put
-      slept_from_[i] = now_ + 1;
+    for (std::size_t k = 0; k < m; ++k) {
+      if (p.sleep_until[k] > now) continue;
+      if (p.slept_from[k] < now) flush_deferred_stalls(c, k, now);
+      cpu::OoOCore& core = *cores_[core_of(c, k)];
+      core.tick(now);
+      const cpu::WakeProof proof = core.prove_sleep(now);
+      p.sleep_kind[k] = proof.flavor;
+      p.sleep_until[k] = std::max(proof.wake, now + 1);  // kNoCycle stays
+      p.slept_from[k] = now + 1;
     }
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (now_ >= ctrl_due_[c]) {
-        controllers_[c]->tick(now_);
-        ctrl_due_[c] = controllers_[c]->next_bus_activity_cpu_cycle();
-      }
+    if (now >= p.ctrl_due) {
+      mc.tick(now);
+      p.ctrl_due = mc.next_bus_activity_cpu_cycle();
     }
-    ++now_;
+    ++now;
   }
   // Replay any still-deferred stall cycles so stats reads see a state
   // identical to the reference loop's at `end` (dormant cores own none).
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live_[i] != 0) flush_deferred_stalls(i, end);
+  for (std::size_t k = 0; k < m; ++k) {
+    if (live_[core_of(c, k)] != 0) flush_deferred_stalls(c, k, end);
   }
 }
 
@@ -499,10 +528,11 @@ void CmpSystem::restore_state(snap::Reader& r) {
   interference_.restore_state(r);
   // Sleep proofs never cross a run() boundary; clear them so nothing stale
   // outlives the restore.
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    sleep_until_[i] = now_;
-    slept_from_[i] = now_;
-    sleep_kind_[i] = cpu::SleepFlavor::kStallOwn;
+  for (Partition& p : parts_) {
+    std::fill(p.sleep_until.begin(), p.sleep_until.end(), now_);
+    std::fill(p.slept_from.begin(), p.slept_from.end(), now_);
+    std::fill(p.sleep_kind.begin(), p.sleep_kind.end(),
+              cpu::SleepFlavor::kStallOwn);
   }
   if constexpr (obs::kEnabled) {
     // The epoch sampler's cumulative snapshot belongs to the pre-restore

@@ -86,6 +86,15 @@ class CmpSystem {
   /// change what is being measured.
   void run(Cycle cycles);
 
+  /// Multi-controller fast-forward runs dispatch their controller
+  /// partitions through parallel_for (capped by BWPART_SWEEP_THREADS;
+  /// inline inside another parallel_for's worker). Chunks shorter than this
+  /// run the partitions one after another on the calling thread instead —
+  /// below it, starting threads costs more than it saves (see
+  /// EXPERIMENTS.md, "Partition-parallel engine"). Results never depend on
+  /// which way a chunk ran.
+  static constexpr Cycle kParallelMinCycles = 4'096;
+
   /// Attaches the observability hub to this system and its controller
   /// (nullptr detaches). Pure telemetry: every obs read is const, so
   /// results are bit-identical with the hub attached, detached, disabled or
@@ -100,9 +109,18 @@ class CmpSystem {
   /// Stable pointer to the cycle counter, for obs::ScopedSpan timestamping.
   const Cycle* cycle_clock() const { return &now_; }
   /// Cycles replayed in closed form by the fast-forward engine (0 when it
-  /// is disabled) — skipped/now() is the fraction of the simulation that
-  /// never executed a per-cycle tick.
-  Cycle skipped_cycles() const { return skipped_cycles_; }
+  /// is disabled). The engine runs each controller partition (the
+  /// controller plus its round-robin apps) on a clock of its own, and a
+  /// partition jumps whenever all of its own cores sleep, so with several
+  /// controllers this is the mean over partitions of the cycles each one
+  /// jumped (the sum divided by num_controllers(), rounded down).
+  /// skipped/now() therefore stays the fraction of the simulation that
+  /// never executed a per-cycle tick, whatever the controller count; on a
+  /// single-controller system it is exactly the one engine's jump count.
+  /// It does not depend on how many threads ran the partitions.
+  Cycle skipped_cycles() const {
+    return skipped_cycles_ / static_cast<Cycle>(controllers_.size());
+  }
   std::uint32_t num_apps() const {
     return static_cast<std::uint32_t>(cores_.size());
   }
@@ -233,20 +251,48 @@ class CmpSystem {
   std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
   std::vector<std::unique_ptr<cpu::OoOCore>> cores_;
   profile::InterferenceCounters interference_;
-  /// Caps completion-sensitive sleeps at the next cycle when `app`'s
-  /// request completes: the completing application's own stall-sleep, its
-  /// deterministic-window sleep when the completion is a read (`read`),
-  /// plus every core stall-sleeping on shared queue space (a delivered
-  /// completion is the only event that can unblock a core earlier than its
-  /// own prove_sleep() proof; idle proofs — and det proofs under write
-  /// completions — are completion-immune).
-  void wake_sleepers(AppId app, bool read);
-  /// Replays core `i`'s deferred cycles up to (excluding) `upto` using the
-  /// closed form recorded for its sleep flavor.
-  void flush_deferred_stalls(std::size_t i, Cycle upto);
+  /// One controller and the cores wired to it (apps c, c + nc, ...): the
+  /// unit the fast-forward engine runs to the end of a run() chunk on its
+  /// own clock. No request, completion or scheduling decision crosses
+  /// partitions, so partitions may run in any order or concurrently.
+  /// Per-core sleep state is indexed by the core's local slot k (global
+  /// core c + k * nc): core k's tick() calls are deferred while
+  /// now < sleep_until[k]; slept_from[k] marks the first deferred cycle,
+  /// and sleep_kind[k] records which closed-form replay applies
+  /// (cpu::SleepFlavor) — the flavor must be captured at sleep time because
+  /// other cores' enqueues/completions can change what a re-evaluation at
+  /// wake time would conclude. Cache-line aligned so partitions running on
+  /// different threads never share a line.
+  struct alignas(64) Partition {
+    std::vector<Cycle> sleep_until;
+    std::vector<Cycle> slept_from;
+    std::vector<cpu::SleepFlavor> sleep_kind;
+    Cycle now = 0;       ///< partition clock inside run_partition()
+    Cycle skipped = 0;   ///< cycles jumped during the current chunk
+    Cycle ctrl_due = 0;  ///< next-bus-activity memo for the controller
+  };
+
+  /// Caps completion-sensitive sleeps in partition `c` at the next cycle
+  /// when the request of local core `k` completes: that core's own
+  /// stall-sleep, its deterministic-window sleep when the completion is a
+  /// read (`read`), plus every core of the partition stall-sleeping on
+  /// shared queue space (a delivered completion is the only event that can
+  /// unblock a core earlier than its own prove_sleep() proof; idle proofs —
+  /// and det proofs under write completions — are completion-immune).
+  void wake_sleepers(std::size_t c, std::size_t k, bool read);
+  /// Replays local core `k` of partition `c`'s deferred cycles up to
+  /// (excluding) `upto` using the closed form recorded for its sleep
+  /// flavor.
+  void flush_deferred_stalls(std::size_t c, std::size_t k, Cycle upto);
   /// The engine proper (fast-forward or reference loop), one contiguous
   /// chunk; run() wraps it with the epoch-sampling chunker.
   void run_engine(Cycle cycles);
+  /// Fast-forward engine for partition `c` from now_ to `end`.
+  void run_partition(std::size_t c, Cycle end);
+  /// Global core id of partition `c`'s local core `k`.
+  std::size_t core_of(std::size_t c, std::size_t k) const {
+    return c + k * parts_.size();
+  }
   /// Re-bases the epoch sampler's cumulative-counter snapshot on the
   /// current counters (after attach or a measurement reset).
   void obs_resnapshot();
@@ -255,6 +301,7 @@ class CmpSystem {
 
   Cycle now_ = 0;
   Cycle window_start_ = 0;
+  /// Sum over partitions (see skipped_cycles()).
   Cycle skipped_cycles_ = 0;
   /// Per-app liveness (1 = live; all live unless a churn schedule says
   /// otherwise) plus the accounting needed for per-tenancy rates:
@@ -266,19 +313,9 @@ class CmpSystem {
   /// Churn telemetry staged for the next epoch row (obs_sample drains them).
   std::uint32_t churn_events_pending_ = 0;
   Cycle churn_lag_pending_ = 0;
-  /// Per-core sleep state: core i's tick() calls are deferred while
-  /// now_ < sleep_until_[i]; slept_from_[i] marks the first deferred cycle,
-  /// and sleep_kind_[i] records which closed-form replay applies
-  /// (cpu::SleepFlavor) — the flavor must be captured at sleep time because
-  /// other cores' enqueues/completions can change what a re-evaluation at
-  /// wake time would conclude.
-  std::vector<Cycle> sleep_until_;
-  std::vector<Cycle> slept_from_;
-  std::vector<cpu::SleepFlavor> sleep_kind_;
-
-  /// Per-controller next-bus-activity memo for the fast-forward engine
-  /// (scratch reset at every run_engine() entry).
-  std::vector<Cycle> ctrl_due_;
+  /// One partition per controller (index = controller index); scratch
+  /// state re-armed at every run_engine() entry.
+  std::vector<Partition> parts_;
 
   obs::Hub* hub_ = nullptr;
   std::string obs_track_;

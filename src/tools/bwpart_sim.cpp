@@ -126,9 +126,7 @@ std::optional<std::vector<core::QosRequirement>> parse_qos(
   return reqs.empty() ? std::nullopt : std::make_optional(reqs);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   std::string mix_name = "hetero-5";
   std::string bench_list;
   std::string scheme_name = "all";
@@ -416,6 +414,8 @@ int main(int argc, char** argv) {
       try {
         r = profile ? experiment.measure_churn_from(*profile, schedule, cc)
                     : experiment.run_churn(schedule, cc);
+      } catch (const harness::ProfileWindowError&) {
+        throw;  // a usage error, reported by main()
       } catch (const std::exception& e) {
         std::fprintf(stderr, "bwpart_sim: churn run (%s): %s\n",
                      core::to_string(s).c_str(), e.what());
@@ -542,4 +542,21 @@ int main(int argc, char** argv) {
     hub.series().write_jsonl(os);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Every profile phase (plain runs, --snapshot-out, churn) reports a
+  // window too short to estimate an app's parameters the same way: a usage
+  // error naming the app and the window.
+  try {
+    return run_cli(argc, argv);
+  } catch (const harness::ProfileWindowError& e) {
+    std::fprintf(stderr,
+                 "bwpart_sim: %s; rerun with a longer --cycles (it sets the "
+                 "profile window)\n",
+                 e.what());
+    return 2;
+  }
 }

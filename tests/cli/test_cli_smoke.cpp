@@ -236,6 +236,30 @@ TEST(CliSmoke, MalformedNumericFlagsAreUsageErrors) {
   std::remove(errfile.c_str());
 }
 
+// A well-formed but too-short window is a usage error too: with 1000 cycles
+// one hetero-5 app is served no memory access in the profile window, and
+// the CLI must say which app, which window and what to change — not abort
+// on the "API must be positive" invariant deep inside the model (exit 134).
+TEST(CliSmoke, TooShortProfileWindowIsAUsageError) {
+  const std::string errfile = tmp_path("window_err.txt");
+  for (const char* extra : {" --scheme Equal", " --scheme all",
+                            " --scheme Equal --snapshot-out /dev/null"}) {
+    const int status = std::system((g_sim_path + " --mix hetero-5" +
+                                    " --cycles 1000" + extra +
+                                    " > /dev/null 2> " + errfile)
+                                       .c_str());
+    ASSERT_NE(status, -1);
+    EXPECT_EQ(WEXITSTATUS(status), 2) << extra;
+    const std::string err = read_file(errfile);
+    EXPECT_NE(err.find("app "), std::string::npos) << extra << ": " << err;
+    EXPECT_NE(err.find("1000-cycle profile window"), std::string::npos)
+        << extra << ": " << err;
+    EXPECT_NE(err.find("longer --cycles"), std::string::npos)
+        << extra << ": " << err;
+  }
+  std::remove(errfile.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {

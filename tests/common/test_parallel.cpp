@@ -1,5 +1,7 @@
 #include "common/parallel.hpp"
 
+#include "scoped_sweep_threads.hpp"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,28 +67,7 @@ TEST(Parallel, DefaultParallelismBounds) {
   EXPECT_LE(default_parallelism(4), 4u);
 }
 
-// Restores (or clears) BWPART_SWEEP_THREADS on scope exit so cap tests
-// cannot leak into each other.
-class ScopedSweepThreads {
- public:
-  explicit ScopedSweepThreads(const char* value) {
-    const char* old = std::getenv("BWPART_SWEEP_THREADS");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv("BWPART_SWEEP_THREADS", value, 1);
-  }
-  ~ScopedSweepThreads() {
-    if (had_) {
-      ::setenv("BWPART_SWEEP_THREADS", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("BWPART_SWEEP_THREADS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
+using testenv::ScopedSweepThreads;
 
 TEST(Parallel, SweepThreadsEnvCapsDefaultParallelism) {
   ScopedSweepThreads env("1");
@@ -137,6 +118,47 @@ TEST(Parallel, ActuallyUsesMultipleThreads) {
   if (std::thread::hardware_concurrency() > 1) {
     EXPECT_GT(peak.load(), 1);
   }
+}
+
+// Experiment::run_all over schemes calls CmpSystem::run, which splits
+// multi-controller runs through parallel_for again: the nested call must run
+// inline on its worker, so the peak concurrency stays at the outer call's
+// width instead of multiplying (7 schemes x 4 controllers on 4 cores).
+TEST(Parallel, NestedCallRunsInlineOnItsWorker) {
+  constexpr std::size_t kOuter = 2;
+  std::atomic<int> concurrent{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> inner_off_thread{0};
+  std::vector<std::vector<std::size_t>> orders(8);
+  parallel_for(
+      orders.size(),
+      [&](std::size_t o) {
+        const std::thread::id outer_thread = std::this_thread::get_id();
+        parallel_for(
+            16,
+            [&](std::size_t i) {
+              if (std::this_thread::get_id() != outer_thread) {
+                inner_off_thread.fetch_add(1);
+              }
+              const int now = concurrent.fetch_add(1) + 1;
+              int p = peak.load();
+              while (now > p && !peak.compare_exchange_weak(p, now)) {
+              }
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              orders[o].push_back(i);
+              concurrent.fetch_sub(1);
+            },
+            4);
+      },
+      kOuter);
+  EXPECT_LE(peak.load(), static_cast<int>(kOuter));
+  EXPECT_EQ(inner_off_thread.load(), 0);
+  std::vector<std::size_t> expected(16);
+  std::iota(expected.begin(), expected.end(), 0u);
+  for (const auto& order : orders) EXPECT_EQ(order, expected);  // inline
+  // The caller took part as a worker; it leaves with the flag clear, so a
+  // later top-level call still spreads across threads.
+  EXPECT_FALSE(detail::t_in_parallel_for);
 }
 
 }  // namespace

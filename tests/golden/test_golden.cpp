@@ -17,6 +17,12 @@
 // itself. The 98 mix entries and the generation section are unchanged
 // from schema 2.
 //
+// Schema 4 adds a "controllers" section: one 16-app workload (the first
+// four heterogeneous Table IV mixes side by side) on DDR2-1600 scale-out
+// machines of 2 and 4 memory controllers x all schemes, pinning the
+// multi-controller engine against fingerprints captured before its
+// controllers ran on threads of their own. Earlier sections are unchanged.
+//
 //   test_golden --file tests/golden/fingerprints.json [--update]
 //
 // Every sweep is computed through Experiment::run_all — under the default
@@ -210,6 +216,44 @@ GenCorpus compute_generation_corpus() {
   return corpus;
 }
 
+/// The scale-out workload pinned by the schema-4 "controllers" section:
+/// these four heterogeneous mixes concatenated (16 apps; round-robin
+/// assignment spreads every mix across every controller).
+constexpr const char* kGoldenControllerMixes[] = {"hetero-1", "hetero-2",
+                                                  "hetero-3", "hetero-4"};
+constexpr std::size_t kGoldenControllerCounts[] = {2, 4};
+constexpr const char* kGoldenControllerDram = "ddr2_1600";
+
+Corpus compute_controller_corpus() {
+  std::vector<workload::BenchmarkSpec> apps;
+  for (const char* name : kGoldenControllerMixes) {
+    const auto part = workload::resolve_mix(golden_mix_by_name(name));
+    apps.insert(apps.end(), part.begin(), part.end());
+  }
+  constexpr std::size_t n = std::size(kGoldenControllerCounts);
+  const harness::PhaseConfig phases = golden_phases();
+  Corpus corpus(n);
+  // Serial on purpose: a run started outside any parallel_for dispatches
+  // its controller partitions on threads of their own, so the section pins
+  // the threaded engine (inside a parallel_for worker they would run
+  // inline).
+  for (std::size_t i = 0; i < n; ++i) {
+    harness::SystemConfig machine;
+    machine.dram = dram::dram_config_for_generation(kGoldenControllerDram);
+    machine.num_controllers = kGoldenControllerCounts[i];
+    const harness::Experiment experiment(machine, apps, phases);
+    const std::vector<harness::RunResult> results =
+        experiment.run_all(core::kAllSchemes, 1);
+    std::map<std::string, std::string> row;
+    for (std::size_t s = 0; s < results.size(); ++s) {
+      row[core::to_string(core::kAllSchemes[s])] =
+          hex64(harness::fingerprint(results[s]));
+    }
+    corpus[i] = {std::to_string(kGoldenControllerCounts[i]), std::move(row)};
+  }
+  return corpus;
+}
+
 Corpus compute_churn_corpus() {
   constexpr std::size_t n = std::size(kGoldenChurnScenarios);
   const harness::SystemConfig machine;
@@ -249,14 +293,15 @@ void write_rows(std::ofstream& os, const Corpus& corpus,
 }
 
 void write_corpus(const std::string& path, const Corpus& corpus,
-                  const GenCorpus& gen_corpus, const Corpus& churn_corpus) {
+                  const GenCorpus& gen_corpus, const Corpus& churn_corpus,
+                  const Corpus& controller_corpus) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
     std::exit(2);
   }
   const harness::PhaseConfig ph = golden_phases();
-  os << "{\n  \"schema\": 3,\n  \"seed\": " << ph.seed << ",\n"
+  os << "{\n  \"schema\": 4,\n  \"seed\": " << ph.seed << ",\n"
      << "  \"phases\": {\"warmup\": " << ph.warmup_cycles
      << ", \"profile\": " << ph.profile_cycles
      << ", \"measure\": " << ph.measure_cycles << "},\n  \"mixes\": {\n";
@@ -272,6 +317,13 @@ void write_corpus(const std::string& path, const Corpus& corpus,
   os << "  },\n  \"churn_settings\": {\"reprofile\": " << cc.reprofile_window
      << ", \"epoch\": " << cc.eval_epoch << "},\n  \"churn\": {\n";
   write_rows(os, churn_corpus, "    ");
+  os << "  },\n  \"controllers_settings\": {\"mixes\": \"";
+  for (std::size_t m = 0; m < std::size(kGoldenControllerMixes); ++m) {
+    os << (m == 0 ? "" : "+") << kGoldenControllerMixes[m];
+  }
+  os << "\", \"dram\": \"" << kGoldenControllerDram
+     << "\"},\n  \"controllers\": {\n";
+  write_rows(os, controller_corpus, "    ");
   os << "  }\n}\n";
 }
 
@@ -330,15 +382,16 @@ int main(int argc, char** argv) {
   const Corpus corpus = compute_corpus();
   const GenCorpus gen_corpus = compute_generation_corpus();
   const Corpus churn_corpus = compute_churn_corpus();
+  const Corpus controller_corpus = compute_controller_corpus();
   if (update) {
-    write_corpus(path, corpus, gen_corpus, churn_corpus);
+    write_corpus(path, corpus, gen_corpus, churn_corpus, controller_corpus);
     std::printf(
         "wrote %zu mixes x %zu schemes plus %zu generations x %zu mixes "
-        "plus %zu churn scenarios to %s\n",
+        "plus %zu churn scenarios plus %zu controller counts to %s\n",
         corpus.size(), corpus.empty() ? 0 : corpus.front().second.size(),
         gen_corpus.size(),
         gen_corpus.empty() ? 0 : gen_corpus.front().second.size(),
-        churn_corpus.size(), path.c_str());
+        churn_corpus.size(), controller_corpus.size(), path.c_str());
     return 0;
   }
 
@@ -362,10 +415,10 @@ int main(int argc, char** argv) {
   }
 
   if (!doc->has("schema") ||
-      static_cast<int>(doc->at("schema").num) != 3) {
+      static_cast<int>(doc->at("schema").num) != 4) {
     std::fprintf(stderr,
-                 "golden corpus '%s' uses an old schema (the churn section "
-                 "arrived in schema 3) — regenerate with --update\n",
+                 "golden corpus '%s' uses an old schema (the controllers "
+                 "section arrived in schema 4) — regenerate with --update\n",
                  path.c_str());
     return 1;
   }
@@ -417,6 +470,16 @@ int main(int argc, char** argv) {
   } else {
     check_rows(doc->at("churn"), churn_corpus, "churn / ", checked,
                mismatches);
+  }
+  if (!doc->has("controllers")) {
+    std::fprintf(stderr,
+                 "golden corpus '%s' has no \"controllers\" section — "
+                 "regenerate with --update\n",
+                 path.c_str());
+    ++mismatches;
+  } else {
+    check_rows(doc->at("controllers"), controller_corpus, "controllers / ",
+               checked, mismatches);
   }
   if (mismatches != 0) {
     std::fprintf(

@@ -4,12 +4,15 @@
 
 #include <vector>
 
+#include "../common/scoped_sweep_threads.hpp"
 #include "workload/mixes.hpp"
 
 namespace bwpart::harness {
 namespace {
 
 SystemConfig small_cfg() { return SystemConfig{}; }
+
+constexpr Cycle kPinnedSkippedCycles = 187'783;
 
 TEST(SystemConfig, PeakApcMatchesPaperUnits) {
   // DDR2-400 at a 5 GHz core: 3.2 GB/s == 0.01 APC (Section III-A).
@@ -283,6 +286,57 @@ TEST(CmpSystem, InterferenceAccountingOffIsResultNeutral) {
     }
     EXPECT_GT(on_total, 0u) << controllers;
   }
+}
+
+// skipped_cycles() on a single-controller system is the one engine's jump
+// count; this value was recorded before the engine ran controller
+// partitions on clocks of their own and must never move with that change.
+TEST(CmpSystem, SingleControllerSkippedCyclesArePinned) {
+  CmpSystem sys(small_cfg(), workload::resolve_mix(workload::fig1_mix()), 7);
+  sys.run(150'000);
+  sys.run(50'000);  // a second chunk re-arms every sleep proof
+  EXPECT_EQ(sys.skipped_cycles(), kPinnedSkippedCycles);
+}
+
+// With several controllers, skipped_cycles() is the mean of what each
+// partition jumped over. A partition whose only app is dormant (refresh
+// off, so its controller has no event) jumps over the whole window; the
+// other is exactly a one-app system, so the mean is known to the cycle.
+TEST(MultiController, SkippedCyclesSumOverPartitions) {
+  SystemConfig cfg = small_cfg();
+  cfg.dram.enable_refresh = false;
+  const auto apps = workload::resolve_mix(workload::fig1_mix());
+  const std::vector<workload::BenchmarkSpec> solo_apps = {apps[0]};
+  const std::vector<workload::BenchmarkSpec> pair_apps = {apps[0], apps[1]};
+  constexpr Cycle kWindow = 3 * CmpSystem::kParallelMinCycles;
+  CmpSystem solo(cfg, solo_apps, 7);
+  solo.run(kWindow);
+  cfg.num_controllers = 2;
+  CmpSystem pair(cfg, pair_apps, 7);
+  pair.set_app_live(1, false);
+  pair.run(kWindow);
+  EXPECT_GT(solo.skipped_cycles(), 0u);
+  EXPECT_EQ(pair.core(0).stats().instructions,
+            solo.core(0).stats().instructions);
+  EXPECT_EQ(pair.skipped_cycles(), (solo.skipped_cycles() + kWindow) / 2);
+}
+
+// The mean does not depend on how many threads ran the partitions, and it
+// stays a share of now().
+TEST(MultiController, SkippedCyclesIgnoreTheThreadCap) {
+  SystemConfig cfg = small_cfg();
+  cfg.num_controllers = 4;
+  Cycle skipped[2] = {0, 0};
+  const char* caps[2] = {"1", nullptr};
+  for (int i = 0; i < 2; ++i) {
+    const testenv::ScopedSweepThreads cap(caps[i]);
+    CmpSystem sys(cfg, eight_apps(), 9);
+    sys.run(4 * CmpSystem::kParallelMinCycles);
+    skipped[i] = sys.skipped_cycles();
+    EXPECT_GT(skipped[i], 0u);
+    EXPECT_LE(skipped[i], sys.now());
+  }
+  EXPECT_EQ(skipped[0], skipped[1]);
 }
 
 }  // namespace
